@@ -30,7 +30,7 @@
 //! `RPAV_BONDED_SMOKE=1` shrinks the sweep to one run per cell for CI.
 
 use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::{FaultScript, PacketKind};
 use rpav_sim::{SimDuration, SimTime};
@@ -117,25 +117,22 @@ fn main() {
     for cc in ccs {
         for run in 0..runs {
             // ---- (a) Aggregation under asymmetric caps ---------------
-            let bonded = run_multipath_scripted(
+            let bonded = run_multipath(
                 &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::Bonded,
-                None,
-                None,
+                Vec::new(),
             );
             // Single-path always rides leg 0: swapping the caps runs the
             // baseline on the other operator's capacity.
-            let single_a = run_multipath_scripted(
+            let single_a = run_multipath(
                 &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::SinglePath,
-                None,
-                None,
+                Vec::new(),
             );
-            let single_b = run_multipath_scripted(
+            let single_b = run_multipath(
                 &config(cc, run).leg_caps(CAP_SECONDARY, CAP_PRIMARY).build(),
                 MultipathScheme::SinglePath,
-                None,
-                None,
+                Vec::new(),
             );
             let tag = format!("{}/run{run}", cc.name());
             print_row("caps", cc.name(), run, "bonded", &bonded);
@@ -175,23 +172,20 @@ fn main() {
 
             // ---- (b) Graceful degradation under a leg blackout -------
             let blackout = || FaultScript::new().blackout(FAULT_AT, FAULT_FOR);
-            let b_bonded = run_multipath_scripted(
+            let b_bonded = run_multipath(
                 &config(cc, run).build(),
                 MultipathScheme::Bonded,
-                Some(blackout()),
-                None,
+                vec![Some(blackout())],
             );
-            let b_failover = run_multipath_scripted(
+            let b_failover = run_multipath(
                 &config(cc, run).build(),
                 MultipathScheme::Failover,
-                Some(blackout()),
-                None,
+                vec![Some(blackout())],
             );
-            let b_single = run_multipath_scripted(
+            let b_single = run_multipath(
                 &config(cc, run).build(),
                 MultipathScheme::SinglePath,
-                Some(blackout()),
-                None,
+                vec![Some(blackout())],
             );
             print_row("black", cc.name(), run, "bonded", &b_bonded);
             print_row("black", cc.name(), run, "failover", &b_failover);
@@ -210,17 +204,15 @@ fn main() {
             );
 
             // ---- (c) FEC recovery strictly reduces NACK/RTX ----------
-            let fec_on = run_multipath_scripted(
+            let fec_on = run_multipath(
                 &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
-                Some(bursty_loss()),
-                Some(bursty_loss()),
+                vec![Some(bursty_loss()), Some(bursty_loss())],
             );
-            let fec_off = run_multipath_scripted(
+            let fec_off = run_multipath(
                 &config(cc, run).repair(true).build(),
                 MultipathScheme::Bonded,
-                Some(bursty_loss()),
-                Some(bursty_loss()),
+                vec![Some(bursty_loss()), Some(bursty_loss())],
             );
             print_row("fec", cc.name(), run, "fec-on", &fec_on);
             print_row("fec", cc.name(), run, "fec-off", &fec_off);
@@ -270,7 +262,7 @@ fn main() {
     }
     // The first engine cell replays byte-identically when executed
     // directly (no engine, no cache).
-    let replay = a.outcomes[0].cell().execute();
+    let replay = a.outcomes[0].cell().execute_with(false);
     assert_eq!(
         replay.to_bytes(),
         a.outcomes[0].metrics().to_bytes(),

@@ -24,7 +24,7 @@
 //! `RPAV_FAILOVER_SMOKE=1` shrinks the sweep to one run per cell for CI.
 
 use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -52,7 +52,7 @@ fn primary_blackout() -> FaultScript {
 /// Direct (engine-free) execution of one cell — the reference the
 /// determinism spot-check replays against.
 fn run_cell_direct(cc: CcMode, run: u64, scheme: MultipathScheme) -> RunMetrics {
-    run_multipath_scripted(&config(cc, run), scheme, Some(primary_blackout()), None)
+    run_multipath(&config(cc, run), scheme, vec![Some(primary_blackout())])
 }
 
 fn in_window_switches(m: &RunMetrics) -> usize {

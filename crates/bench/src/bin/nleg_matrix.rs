@@ -28,7 +28,7 @@
 //! `RPAV_NLEG_SMOKE=1` shrinks the sweep to one run per cell for CI.
 
 use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
-use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
+use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::{FaultScript, PacketKind};
 use rpav_rtp::fec::{rs_recover, FecGroup, RsGroup, RsParityPacket, MAX_RS_PARITY};
@@ -186,7 +186,7 @@ fn main() {
     let cap_probe = CcMode::paper_static(Environment::Rural);
     for run in 0..runs {
         let cell = |dead: &[usize]| {
-            run_multipath_legs(
+            run_multipath(
                 &config(cap_probe, run)
                     .leg_caps(CAP_DEGRADE, CAP_DEGRADE)
                     .build(),
@@ -229,17 +229,17 @@ fn main() {
     for cc in ccs {
         for run in 0..runs {
             let fade = || shared_fade().correlated(3, &[0, 1]);
-            let bonded = run_multipath_legs(
+            let bonded = run_multipath(
                 &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
                 fade(),
             );
-            let failover = run_multipath_legs(
+            let failover = run_multipath(
                 &config(cc, run).repair(true).build(),
                 MultipathScheme::Failover,
                 fade(),
             );
-            let single = run_multipath_legs(
+            let single = run_multipath(
                 &config(cc, run).repair(true).build(),
                 MultipathScheme::SinglePath,
                 fade(),
@@ -286,7 +286,7 @@ fn main() {
         .expect("paper ccs include SCReAM");
     for run in 0..runs {
         let cell = |cc: CcMode, coupled: bool| {
-            run_multipath_legs(
+            run_multipath(
                 &config(cc, run).n_legs(2).coupled_cc(coupled).build(),
                 MultipathScheme::Bonded,
                 Vec::new(),
@@ -340,7 +340,7 @@ fn main() {
             x.cell().label()
         );
     }
-    let replay = a.outcomes[0].cell().execute();
+    let replay = a.outcomes[0].cell().execute_with(false);
     assert_eq!(
         replay.to_bytes(),
         a.outcomes[0].metrics().to_bytes(),

@@ -141,7 +141,7 @@ fn run_bonded_sweep() -> Measurement {
             .fec_cap(0.25)
             .repair(true)
             .build();
-        let m = run_multipath(&cfg, MultipathScheme::Bonded);
+        let m = run_multipath(&cfg, MultipathScheme::Bonded, Vec::new());
         ticks += (m.duration + SimDuration::from_secs(3)).as_millis_f64() as u64;
         packets += m.media_sent + m.rtx_sent + m.fec_tx;
         cells += 1;
@@ -207,7 +207,7 @@ fn main() {
             .seed(0xD0)
             .hold_secs(1)
             .build();
-        let _ = Simulation::new(cfg).run_fast();
+        let _ = Simulation::new(cfg).run();
     }
 
     let mut sections = Vec::new();

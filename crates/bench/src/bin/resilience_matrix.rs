@@ -168,7 +168,7 @@ fn main() {
         .expect("no retried cell");
     assert_eq!(
         recovered.metrics().to_bytes(),
-        recovered.cell().execute().to_bytes(),
+        recovered.cell().execute_with(false).to_bytes(),
         "retried result diverged from direct execution"
     );
     println!(

@@ -80,7 +80,7 @@ pub fn campaign(env: Environment, op: Operator, mobility: Mobility, cc: CcMode) 
 }
 
 /// Run `runs_per_config()` repetitions of one configuration through the
-/// spec → engine path (the `run_campaign` replacement for ablations).
+/// spec → engine path (the ablation binaries' campaign runner).
 pub fn config_campaign(cfg: ExperimentConfig) -> CampaignResult {
     let spec = CampaignSpec::new(cfg).runs(runs_per_config());
     let result = engine().run(&spec.to_matrix());

@@ -1,5 +1,5 @@
-//! Calibration diagnostic: SCReAM pipeline health (set RPAV_DEBUG=1 for a
-//! per-second cwnd/queue/target trace).
+//! Calibration diagnostic: SCReAM pipeline health — goodput, PER, stall
+//! rate and the sender's discard/span-skip counters for one urban flight.
 use rpav_core::prelude::*;
 
 fn main() {

@@ -147,12 +147,7 @@ impl CcEngine {
         }
     }
 
-    /// Stage freshly packetized media for transmission.
-    pub fn enqueue(&mut self, now: SimTime, mut packets: Vec<RtpPacket>) {
-        self.enqueue_drain(now, &mut packets);
-    }
-
-    /// Drain-style variant of [`enqueue`](Self::enqueue): moves the packets
+    /// Stage freshly packetized media for transmission: moves the packets
     /// out but leaves the vector (and its capacity) with the caller, so a
     /// per-frame scratch buffer can be reused indefinitely.
     pub fn enqueue_drain(&mut self, now: SimTime, packets: &mut Vec<RtpPacket>) {
@@ -286,14 +281,6 @@ impl CcEngine {
             _ => None,
         }
     }
-
-    /// Debug access to the SCReAM sender (RPAV_DEBUG tracing).
-    pub fn scream_sender(&self) -> Option<&ScreamSender> {
-        match self {
-            CcEngine::Scream { sender } => Some(sender),
-            _ => None,
-        }
-    }
 }
 
 /// Per-leg shadow congestion controllers behind one aggregate target —
@@ -308,6 +295,10 @@ impl CcEngine {
 /// drives only that engine. The encoder follows the *sum* of the per-leg
 /// targets, so one delayed leg costs only its own share of the aggregate
 /// — and a dead leg's shadow watchdog decays only that share.
+///
+/// Built with one engine it is the single controller the uncoupled
+/// multipath schemes share across legs: every aggregate of one engine is
+/// that engine's own value, bit for bit.
 pub struct CoupledCc {
     legs: Vec<CcEngine>,
 }
@@ -353,15 +344,10 @@ impl CoupledCc {
         self.legs.iter_mut().map(|cc| cc.on_tick(now)).sum()
     }
 
-    /// Stage packets already assigned to `leg` by the scheduler.
+    /// Stage packets already assigned to `leg` by the scheduler; the
+    /// caller keeps the vector's capacity for reuse on the next frame.
     /// Out-of-range legs drop nothing silently — the packets go to the
     /// last engine (saturating, never a panic on a hostile index).
-    pub fn enqueue_leg(&mut self, leg: usize, now: SimTime, mut packets: Vec<RtpPacket>) {
-        self.enqueue_leg_drain(leg, now, &mut packets);
-    }
-
-    /// Drain-style variant of [`enqueue_leg`](Self::enqueue_leg): the caller
-    /// keeps the vector's capacity for reuse on the next frame.
     pub fn enqueue_leg_drain(&mut self, leg: usize, now: SimTime, packets: &mut Vec<RtpPacket>) {
         let last = self.legs.len() - 1;
         self.legs[leg.min(last)].enqueue_drain(now, packets);
@@ -443,9 +429,9 @@ mod tests {
         assert!(!cc.with_twcc());
         assert_eq!(cc.feedback_interval(), None);
         assert_eq!(cc.on_tick(SimTime::ZERO), 8e6);
-        let sent = packets(30_000, false);
+        let mut sent = packets(30_000, false);
         let n = sent.len();
-        cc.enqueue(SimTime::ZERO, sent);
+        cc.enqueue_drain(SimTime::ZERO, &mut sent);
         let mut drained = 0;
         while cc.poll_transmit(SimTime::ZERO).is_some() {
             drained += 1;
@@ -461,7 +447,7 @@ mod tests {
         let mut cc = CcEngine::new(CcMode::Gcc, WatchdogConfig::default());
         assert!(cc.with_twcc());
         // Stage far more than one tick of credit can cover.
-        cc.enqueue(SimTime::ZERO, packets(500_000, true));
+        cc.enqueue_drain(SimTime::ZERO, &mut packets(500_000, true));
         let mut sent_bytes = 0usize;
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
@@ -492,7 +478,7 @@ mod tests {
         assert_eq!(cc.on_tick(SimTime::ZERO), 9e6);
         assert_eq!(cc.start_bitrate_bps(), 9e6);
         // A packet staged on leg 1 only ever leaves through leg 1.
-        cc.enqueue_leg(1, SimTime::ZERO, packets(10_000, false));
+        cc.enqueue_leg_drain(1, SimTime::ZERO, &mut packets(10_000, false));
         assert!(cc.poll_transmit_leg(0, SimTime::ZERO).is_none());
         assert!(cc.poll_transmit_leg(1, SimTime::ZERO).is_some());
         // Hostile indices neither panic nor invent traffic.

@@ -63,9 +63,8 @@ use rpav_netem::{FaultClause, FaultScript, PacketKind};
 use crate::codec::{fnv1a, ByteWriter};
 use crate::journal::CampaignJournal;
 use crate::metrics::RunMetrics;
-use crate::multipath::{run_multipath_legs, MultipathScheme};
+use crate::multipath::{MultipathFlight, MultipathScheme};
 use crate::pipeline::Simulation;
-use crate::runner::CampaignResult;
 use crate::scenario::{CcMode, ExperimentConfig, Mobility};
 use crate::summary::CampaignAggregates;
 
@@ -105,7 +104,8 @@ impl RunScheme {
 /// directions of the single operator's link. For
 /// [`RunScheme::Multipath`], `uplink` scripts leg 0, `secondary` leg 1,
 /// and `extra` any further legs (each script hits both directions of
-/// its leg, matching [`run_multipath_legs`]); `downlink` is unused.
+/// its leg, matching [`run_multipath`](crate::multipath::run_multipath));
+/// `downlink` is unused.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellFault {
     /// Short name, part of the cell label (empty = no fault).
@@ -238,8 +238,8 @@ pub enum CcAxis {
 /// A declarative cross-product of scenario axes.
 ///
 /// Empty axes fall back to the base configuration's value, so
-/// `MatrixSpec::new(base).runs(5)` is exactly the old
-/// `run_campaign(base, 5)` shape. Expansion order is part of the API:
+/// `MatrixSpec::new(base).runs(5)` is a five-run campaign of `base`.
+/// Expansion order is part of the API:
 /// environment → operator → mobility → CC → scheme → fault → repair →
 /// run index, with the run index innermost (seed-matched cells stay
 /// adjacent).
@@ -555,16 +555,9 @@ impl Cell {
 
     /// Execute the cell directly (no caching) — also the reference the
     /// bench determinism spot-checks compare engine output against.
-    /// Scheduler choice follows `RPAV_REFERENCE_TICK`; the engine resolves
-    /// that knob once via [`EngineOptions`] and calls
-    /// [`execute_with`](Self::execute_with) instead.
-    pub fn execute(&self) -> RunMetrics {
-        self.execute_with(EngineOptions::env_reference_tick())
-    }
-
-    /// Execute with an explicit scheduler choice: `reference_tick = true`
-    /// runs the unconditional 1 ms oracle loop, `false` the adaptive
-    /// deadline scheduler (byte-identical by the perf-equivalence tests).
+    /// `reference_tick = true` runs the unconditional 1 ms oracle loop,
+    /// `false` the adaptive deadline scheduler (byte-identical by the
+    /// perf-equivalence tests).
     pub fn execute_with(&self, reference_tick: bool) -> RunMetrics {
         match self.scheme {
             RunScheme::Pipeline => {
@@ -578,11 +571,12 @@ impl Cell {
                 if reference_tick {
                     sim.run_reference()
                 } else {
-                    sim.run_fast()
+                    sim.run()
                 }
             }
             RunScheme::Multipath(scheme) => {
-                run_multipath_legs(&self.config, scheme, self.fault.leg_scripts())
+                MultipathFlight::new(&self.config, scheme, self.fault.leg_scripts())
+                    .run(reference_tick)
             }
         }
     }
@@ -922,6 +916,99 @@ impl MatrixResult {
     }
 }
 
+/// All runs of one configuration.
+#[derive(Clone, Debug)]
+pub struct CampaignResult {
+    /// The configuration label (e.g. `GCC-Rural-P1-Air`).
+    pub label: String,
+    /// Per-run metrics.
+    pub runs: Vec<RunMetrics>,
+}
+
+impl CampaignResult {
+    /// All one-way-delay samples pooled (ms).
+    pub fn owd_ms(&self) -> Vec<f64> {
+        self.runs.iter().flat_map(|r| r.owd_ms()).collect()
+    }
+
+    /// All playback-latency samples pooled (ms).
+    pub fn playback_latency_ms(&self) -> Vec<f64> {
+        self.runs
+            .iter()
+            .flat_map(|r| r.playback_latency_ms())
+            .collect()
+    }
+
+    /// All SSIM samples pooled (skips included as 0).
+    pub fn ssim(&self) -> Vec<f64> {
+        self.runs.iter().flat_map(|r| r.ssim_samples()).collect()
+    }
+
+    /// All HET samples pooled (ms).
+    pub fn het_ms(&self) -> Vec<f64> {
+        self.runs.iter().flat_map(|r| r.het_ms()).collect()
+    }
+
+    /// Per-run handover frequencies (HO/s) — the Fig. 4(a) boxplot points.
+    pub fn ho_frequencies(&self) -> Vec<f64> {
+        self.runs.iter().map(|r| r.ho_frequency()).collect()
+    }
+
+    /// Windowed goodput samples pooled (bps) — the Fig. 6 boxplot points.
+    pub fn goodput_samples(&self) -> Vec<f64> {
+        self.runs
+            .iter()
+            .flat_map(|r| {
+                r.goodput_timeline(rpav_sim::SimDuration::from_secs(1))
+                    .into_iter()
+                    .map(|(_, bps)| bps)
+            })
+            .collect()
+    }
+
+    /// FPS samples pooled — the Fig. 7(a) CDF points.
+    pub fn fps_samples(&self) -> Vec<f64> {
+        self.runs
+            .iter()
+            .flat_map(|r| r.fps_timeline().into_iter().map(|(_, f)| f))
+            .collect()
+    }
+
+    /// Mean stall rate per minute across runs.
+    pub fn stalls_per_minute(&self) -> f64 {
+        crate::stats::mean(
+            &self
+                .runs
+                .iter()
+                .map(|r| r.stalls_per_minute())
+                .collect::<Vec<f64>>(),
+        )
+    }
+
+    /// Pooled PER across runs.
+    pub fn per(&self) -> f64 {
+        let sent: u64 = self.runs.iter().map(|r| r.media_sent).sum();
+        let recv: u64 = self.runs.iter().map(|r| r.media_received).sum();
+        if sent == 0 {
+            0.0
+        } else {
+            1.0 - recv as f64 / sent as f64
+        }
+    }
+
+    /// Pooled before/after HO latency ratios (Fig. 9).
+    pub fn ho_latency_ratios(&self) -> (Vec<f64>, Vec<f64>) {
+        let mut before = Vec::new();
+        let mut after = Vec::new();
+        for r in &self.runs {
+            let (b, a) = r.ho_latency_ratios();
+            before.extend(b);
+            after.extend(a);
+        }
+        (before, after)
+    }
+}
+
 /// Every engine behaviour knob, as one typed value.
 ///
 /// This is the single place environment variables are parsed: call
@@ -1007,16 +1094,9 @@ impl EngineOptions {
             jobs,
             batch,
             cache_dir,
-            reference_tick: Self::env_reference_tick(),
+            reference_tick: std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0"),
             ..EngineOptions::default()
         }
-    }
-
-    /// Just the `RPAV_REFERENCE_TICK` knob (no warnings, no other vars) —
-    /// the edge parse for direct [`Cell::execute`] /
-    /// [`Simulation::run`] callers.
-    pub fn env_reference_tick() -> bool {
-        std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0")
     }
 
     /// The worker count these options resolve to.
@@ -1699,6 +1779,28 @@ mod tests {
     }
 
     #[test]
+    fn campaign_runs_and_pools() {
+        let base = ExperimentConfig::builder()
+            .cc(CcMode::paper_static(Environment::Rural))
+            .seed(7)
+            .hold_secs(1)
+            .build();
+        let result = CampaignEngine::new().run(&MatrixSpec::new(base).runs(2));
+        let campaigns = result.campaigns();
+        assert_eq!(campaigns.len(), 1);
+        let c = &campaigns[0];
+        assert_eq!(c.runs.len(), 2);
+        assert_eq!(c.label, "Static-Rural-P1-Air");
+        assert!(!c.owd_ms().is_empty());
+        assert!(!c.playback_latency_ms().is_empty());
+        assert!(!c.ssim().is_empty());
+        assert_eq!(c.ho_frequencies().len(), 2);
+        assert!(c.per() < 0.05);
+        // Runs differ (decorrelated channel randomness).
+        assert_ne!(c.runs[0].media_received, c.runs[1].media_received);
+    }
+
+    #[test]
     fn empty_axes_expand_to_the_base_cell() {
         let cells = MatrixSpec::new(short_base()).expand();
         assert_eq!(cells.len(), 1);
@@ -1905,7 +2007,7 @@ mod tests {
         // The retried execution is the same pure function of the config.
         assert_eq!(
             outcome.metrics().to_bytes(),
-            outcome.cell().execute().to_bytes()
+            outcome.cell().execute_with(false).to_bytes()
         );
     }
 

@@ -7,12 +7,14 @@
 //!
 //! * [`scenario`] — experiment axes (environment × operator × mobility ×
 //!   CC) with the paper's default parameters.
-//! * [`pipeline`] — the sender/receiver wiring ([`Simulation`]).
+//! * [`pipeline`] — the single-path sender/receiver wiring
+//!   ([`Simulation`]).
 //! * [`metrics`] — per-run records and derived series (goodput, OWD, HET,
 //!   FPS, playback latency, SSIM, stalls, HO-latency ratios).
 //! * [`stats`] — quantiles, boxplot summaries, CDFs.
 //! * [`exec`] — the parallel deterministic matrix engine
-//!   ([`MatrixSpec`] → thread pool → cached, submission-ordered results),
+//!   ([`MatrixSpec`] → thread pool → cached, submission-ordered results,
+//!   pooled per configuration as [`CampaignResult`]s),
 //!   crash-safe: panic isolation with poison records, a durable
 //!   checksummed result cache, and kill/resume via a completion journal.
 //! * [`codec`] — canonical byte encoding of [`RunMetrics`] (cache +
@@ -23,11 +25,10 @@
 //!   behind the daemon wire format.
 //! * [`spec`] — [`CampaignSpec`], the versioned canonical external
 //!   representation of a campaign (axes + base config + engine options).
-//! * [`runner`] — campaign execution across repeated runs.
 //! * [`ping`] — the cross-traffic-free RTT workload of Fig. 13.
 //! * [`dataset`] — CSV export in the shape of the paper's released dataset.
 //! * [`multipath`] — the paper's future-work multipath experiment
-//!   (redundant transmission over both operators).
+//!   (N modems across both operators: duplication, failover, bonding).
 //! * [`trace`] — Fig. 8-style time-series export (CSV).
 //! * [`summary`] — the in-text headline statistics.
 //!
@@ -52,6 +53,7 @@ pub mod codec;
 pub mod dataset;
 pub mod exec;
 pub mod failover;
+mod flight;
 pub mod health;
 pub mod journal;
 pub mod json;
@@ -60,19 +62,15 @@ pub mod multipath;
 pub mod paths;
 pub mod ping;
 pub mod pipeline;
-pub mod runner;
 pub mod scenario;
 pub mod spec;
 pub mod stats;
 pub mod summary;
 pub mod trace;
 
-pub use exec::{CampaignEngine, EngineOptions, MatrixResult, MatrixSpec};
+pub use exec::{CampaignEngine, CampaignResult, EngineOptions, MatrixResult, MatrixSpec};
 pub use metrics::RunMetrics;
 pub use pipeline::Simulation;
-#[allow(deprecated)]
-pub use runner::run_campaign;
-pub use runner::CampaignResult;
 pub use scenario::{CcMode, ExperimentConfig, Mobility};
 pub use spec::{CampaignSpec, SpecError, MAX_CELLS, SPEC_VERSION};
 
@@ -81,14 +79,13 @@ pub use spec::{CampaignSpec, SpecError, MAX_CELLS, SPEC_VERSION};
 /// binary touches.
 pub mod prelude {
     pub use crate::exec::{
-        CampaignEngine, CcAxis, Cell, CellFailure, CellFault, CellOutcome, EngineOptions,
-        EngineReport, MatrixResult, MatrixSpec, RunScheme, StreamSummary,
+        CampaignEngine, CampaignResult, CcAxis, Cell, CellFailure, CellFault, CellOutcome,
+        EngineOptions, EngineReport, MatrixResult, MatrixSpec, RunScheme, StreamSummary,
     };
     pub use crate::json::{Json, JsonError};
     pub use crate::metrics::RunMetrics;
     pub use crate::multipath::MultipathScheme;
     pub use crate::pipeline::Simulation;
-    pub use crate::runner::CampaignResult;
     pub use crate::scenario::{
         CcMode, ExperimentConfig, ExperimentConfigBuilder, Mobility, MAX_LEGS,
     };

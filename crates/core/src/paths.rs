@@ -12,7 +12,7 @@
 //! * eNodeB uplink buffer deep enough that congestion becomes delay, not
 //!   loss (bufferbloat, §4.1).
 
-use rpav_netem::{FaultConfig, GilbertElliott, Path};
+use rpav_netem::{FaultConfig, FaultScript, GilbertElliott, Path, ReorderConfig};
 use rpav_sim::{RngSet, SimDuration};
 
 /// eNodeB uplink buffer: deep enough that congestion becomes delay, not
@@ -54,36 +54,81 @@ pub fn leg_stream_prefix(operator_name: &str, leg_index: usize) -> String {
 /// the RNG streams (`<prefix>.fault`, `<prefix>.wan`), so distinct paths
 /// in one run draw from distinct deterministic streams.
 pub fn uplink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
-    Path::new(
-        FaultConfig {
-            burst: baseline_loss(),
-            ..Default::default()
-        },
-        rngs.stream_indexed(&format!("{stream_prefix}.fault"), run_index),
+    access_path(
+        rngs,
+        stream_prefix,
+        run_index,
         UPLINK_INITIAL_BPS,
-        BOTTLENECK_DELAY,
+        baseline_faults(),
         UPLINK_QUEUE_BYTES,
+    )
+}
+
+/// Build a downlink (feedback-direction) path: same chain, downlink rate.
+pub fn downlink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
+    access_path(
+        rngs,
+        stream_prefix,
+        run_index,
+        DOWNLINK_BPS,
+        baseline_faults(),
+        UPLINK_QUEUE_BYTES,
+    )
+}
+
+fn baseline_faults() -> FaultConfig {
+    FaultConfig {
+        burst: baseline_loss(),
+        ..Default::default()
+    }
+}
+
+/// The chain every access path shares — `faults` → bottleneck at
+/// `rate_bps` (radio propagation, `queue_bytes` of buffer) → WAN pipe —
+/// drawing from the `<prefix>.fault` and `<prefix>.wan` streams.
+pub(crate) fn access_path(
+    rngs: &RngSet,
+    stream_prefix: &str,
+    run_index: u64,
+    rate_bps: f64,
+    faults: FaultConfig,
+    queue_bytes: usize,
+) -> Path {
+    Path::new(
+        faults,
+        rngs.stream_indexed(&format!("{stream_prefix}.fault"), run_index),
+        rate_bps,
+        BOTTLENECK_DELAY,
+        queue_bytes,
         WAN_DELAY,
         WAN_JITTER,
         rngs.stream_indexed(&format!("{stream_prefix}.wan"), run_index),
     )
 }
 
-/// Build a downlink (feedback-direction) path: same chain, downlink rate.
-pub fn downlink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
-    Path::new(
-        FaultConfig {
-            burst: baseline_loss(),
-            ..Default::default()
-        },
-        rngs.stream_indexed(&format!("{stream_prefix}.fault"), run_index),
-        DOWNLINK_BPS,
-        BOTTLENECK_DELAY,
-        UPLINK_QUEUE_BYTES,
-        WAN_DELAY,
-        WAN_JITTER,
-        rngs.stream_indexed(&format!("{stream_prefix}.wan"), run_index),
-    )
+/// Attach a scripted fault campaign to `path`, drawing from the
+/// `<prefix>.script` stream. With `reorder`, a script that has reorder
+/// windows also gets the exit-side reorder stage those windows retune
+/// (`<prefix>.reorder`); it is attached only when needed, so runs without
+/// reorder clauses draw nothing extra.
+pub(crate) fn attach_script(
+    path: &mut Path,
+    script: FaultScript,
+    rngs: &RngSet,
+    prefix: &str,
+    run_index: u64,
+    reorder: bool,
+) {
+    if reorder && script.has_reorder() {
+        path.set_reorder(
+            ReorderConfig::default(),
+            rngs.stream_indexed(&format!("{prefix}.reorder"), run_index),
+        );
+    }
+    path.set_script(
+        script,
+        rngs.stream_indexed(&format!("{prefix}.script"), run_index),
+    );
 }
 
 #[cfg(test)]

@@ -7,11 +7,13 @@
 //! 101–140 m.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rpav_lte::{NetworkProfile, RadioModel};
-use rpav_netem::{FaultConfig, Packet, PacketKind, Path};
+use rpav_lte::{NetworkProfile, RadioModel, RadioSample};
+use rpav_netem::{FaultConfig, Packet, PacketKind};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, Position};
 
+use crate::flight::Link;
+use crate::paths;
 use crate::scenario::ExperimentConfig;
 
 /// Altitude bins of Fig. 13 (inclusive upper edges, metres).
@@ -36,26 +38,22 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
     let mut radio = RadioModel::new(&profile, &rngs, config.run_index);
     let plan = uav_profiles::paper_flight(Position::ground(0.0, 0.0), config.hold);
 
-    let mut uplink = Path::new(
-        FaultConfig::default(),
-        rngs.stream_indexed("ping.ul.fault", config.run_index),
-        10e6,
-        SimDuration::from_millis(5),
-        usize::MAX,
-        SimDuration::from_millis(12),
-        SimDuration::from_micros(600),
-        rngs.stream_indexed("ping.ul.wan", config.run_index),
-    );
-    let mut downlink = Path::new(
-        FaultConfig::default(),
-        rngs.stream_indexed("ping.dl.fault", config.run_index),
-        150e6,
-        SimDuration::from_millis(5),
-        usize::MAX,
-        SimDuration::from_millis(12),
-        SimDuration::from_micros(600),
-        rngs.stream_indexed("ping.dl.wan", config.run_index),
-    );
+    // Lossless paths with unbounded buffers: the echo stream measures
+    // the structural RTT, not congestion.
+    let path = |prefix, rate| {
+        paths::access_path(
+            &rngs,
+            prefix,
+            config.run_index,
+            rate,
+            FaultConfig::default(),
+            usize::MAX,
+        )
+    };
+    let mut link = Link {
+        uplink: path("ping.ul", paths::UPLINK_INITIAL_BPS),
+        downlink: path("ping.dl", paths::DOWNLINK_BPS),
+    };
 
     let mut samples = Vec::new();
     let mut t = SimTime::ZERO;
@@ -69,13 +67,13 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
         if t >= next_radio {
             next_radio = t + radio.tick();
             let pos = plan.position_at(t);
-            let s = radio.step(t, &pos);
-            uplink.set_rate_bps(t, s.uplink_capacity_bps.max(50e3));
-            downlink.set_rate_bps(t, s.downlink_capacity_bps.max(50e3));
-            if let Some(ho) = s.handover {
-                uplink.pause_until(t, ho.complete_at);
-                downlink.pause_until(t, ho.complete_at);
-            }
+            // The echo workload models capacity and handover stalls but
+            // no HARQ retransmission delay.
+            let s = RadioSample {
+                retx_delay: SimDuration::ZERO,
+                ..radio.step(t, &pos)
+            };
+            link.apply_radio(t, &pos, &s, None);
         }
         if t >= next_probe && t < flight_end {
             next_probe = t + SimDuration::from_millis(100);
@@ -85,15 +83,17 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
             payload.put_u64((alt * 1_000.0) as u64);
             payload.resize(56, 0); // ICMP-echo-sized
             seq += 1;
-            uplink.enqueue(t, Packet::new(seq, payload.freeze(), PacketKind::Probe, t));
+            let probe = Packet::new(seq, payload.freeze(), PacketKind::Probe, t);
+            link.uplink.enqueue(t, probe);
         }
         // Server echo.
-        while let Some(p) = uplink.poll(t) {
+        while let Some(p) = link.uplink.poll(t) {
             seq += 1;
-            downlink.enqueue(t, Packet::new(seq, p.payload, PacketKind::Probe, t));
+            link.downlink
+                .enqueue(t, Packet::new(seq, p.payload, PacketKind::Probe, t));
         }
         // Echo back at the UAV.
-        while let Some(p) = downlink.poll(t) {
+        while let Some(p) = link.downlink.poll(t) {
             let mut b: Bytes = p.payload;
             if b.len() < 16 {
                 continue;

@@ -1,6 +1,6 @@
 //! Headline statistics — the numbers quoted in the paper's running text.
 
-use crate::runner::CampaignResult;
+use crate::exec::CampaignResult;
 use crate::stats;
 
 /// The in-text statistics for one configuration.
@@ -389,7 +389,7 @@ mod tests {
                 displayed: true,
             })
             .collect();
-        let campaign = crate::runner::CampaignResult {
+        let campaign = crate::exec::CampaignResult {
             label: "synthetic".into(),
             runs: vec![run],
         };
@@ -420,7 +420,7 @@ mod tests {
             rtx_late: 7 * scale,
             ..Default::default()
         };
-        let campaign = crate::runner::CampaignResult {
+        let campaign = crate::exec::CampaignResult {
             label: "repair".into(),
             runs: vec![mk(1), mk(2)],
         };
@@ -471,7 +471,7 @@ mod tests {
             time_dead: SimDuration::from_millis(1_500),
             ..Default::default()
         });
-        let campaign = crate::runner::CampaignResult {
+        let campaign = crate::exec::CampaignResult {
             label: "failover".into(),
             runs: vec![run],
         };
@@ -507,7 +507,7 @@ mod tests {
             }
             run
         };
-        let campaign = crate::runner::CampaignResult {
+        let campaign = crate::exec::CampaignResult {
             label: "bonded".into(),
             runs: vec![mk(600, 400), mk(400, 600)],
         };
@@ -585,7 +585,7 @@ mod tests {
 
     #[test]
     fn repair_efficiency_zero_when_repair_off() {
-        let campaign = crate::runner::CampaignResult {
+        let campaign = crate::exec::CampaignResult {
             label: "off".into(),
             runs: vec![RunMetrics {
                 duration: SimDuration::from_secs(60),

@@ -112,7 +112,7 @@ fn mp_run(scheme: MultipathScheme) -> RunMetrics {
         .seed(0xFA11)
         .hold_secs(1)
         .build();
-    run_multipath(&cfg, scheme)
+    run_multipath(&cfg, scheme, Vec::new())
 }
 
 #[test]

@@ -160,6 +160,7 @@ proptest! {
 // the full-pipeline cases are too slow for per-case shrinking.
 
 mod hostile_wire {
+    use rpav_core::multipath::run_multipath;
     use rpav_core::prelude::*;
     use rpav_netem::{FaultScript, PacketKind};
     use rpav_sim::{SimDuration, SimTime};
@@ -223,5 +224,28 @@ mod hostile_wire {
         assert_eq!(clean.duplicate_packets, 0);
         // Graceful degradation, not collapse.
         assert!(hostile.frames.iter().any(|f| f.displayed));
+    }
+
+    /// The multipath driver harvests the same receive-chain counters as
+    /// the pipeline: the corruption rate at which the single-path cell
+    /// reports malformed payloads makes a multipath cell report them too.
+    #[test]
+    fn multipath_harvest_counts_malformed_payloads() {
+        let script = FaultScript::new().corrupt_window(
+            SimTime::from_secs(10),
+            SimDuration::from_secs(60),
+            0.05,
+            None,
+        );
+        let single = Simulation::new(cfg(false))
+            .with_link_script(script.clone())
+            .run();
+        assert!(single.malformed_payloads > 0, "pipeline saw no damage");
+        let multi = run_multipath(&cfg(false), MultipathScheme::SinglePath, vec![Some(script)]);
+        assert!(multi.corrupted_arrivals > 0);
+        assert!(
+            multi.malformed_payloads > 0,
+            "multipath dropped the depacketizer's malformed-payload count"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The adaptive deadline scheduler must be *byte-identical* to the 1 ms
-//! reference loop: [`Simulation::run_fast`] and [`Simulation::run_reference`]
+//! reference loop: [`Simulation::run`] and [`Simulation::run_reference`]
 //! produce [`RunMetrics`] whose canonical `to_bytes()` encodings match
 //! exactly — every OWD sample's f64 bit pattern, every handover record,
 //! every watchdog stat.
@@ -7,10 +7,13 @@
 //! The seeded matrix spans all three congestion controllers, both
 //! environments, both mobility profiles, and a hostile fault script
 //! (blackout + loss burst) — the states where deadline bookkeeping is
-//! hardest to get right. The multipath failover driver keeps its fixed
-//! tick, so its cell pins determinism under the scripted scheme instead.
+//! hardest to get right. The multipath driver runs on the same shared
+//! flight loop with a deadline that is always the next tick, so its cells
+//! (bonded with repair and FEC, scripted failover) pin that
+//! [`Cell::execute_with`] gives the same bytes under both `reference_tick`
+//! values and reproduces across runs.
 
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -46,7 +49,7 @@ fn assert_bit_identical(cfg: ExperimentConfig, script: Option<FaultScript>, labe
         Some(s) => Simulation::new(cfg).with_link_script(s.clone()),
         None => Simulation::new(cfg),
     };
-    let fast = build(cfg).run_fast().to_bytes();
+    let fast = build(cfg).run().to_bytes();
     let reference = build(cfg).run_reference().to_bytes();
     assert!(
         fast == reference,
@@ -116,33 +119,37 @@ fn bonded_config(n_legs: usize, seed: u64) -> ExperimentConfig {
         .build()
 }
 
-/// The multipath driver keeps its fixed tick under both scheduler modes,
-/// so the cross-scheduler contract for a bonded cell is that
-/// [`Cell::execute_with`] produces the *same* canonical bytes whether the
-/// engine resolved the reference oracle or the adaptive scheduler — and
-/// that repeated runs reproduce exactly. These cells pin that for the
-/// configs the alloc work touched hardest: bonded N=2 and 4-leg striping
-/// with RTX repair and RS FEC both on.
-fn assert_bonded_bit_identical(n_legs: usize, seed: u64, label: &str) {
-    let spec =
-        MatrixSpec::new(bonded_config(n_legs, seed)).multipath_schemes([MultipathScheme::Bonded]);
-    let cells = spec.expand();
-    assert_eq!(cells.len(), 1, "{label}: expected a single expanded cell");
-    let cell = &cells[0];
+/// The cross-scheduler contract for a multipath cell: [`Cell::execute_with`]
+/// produces the *same* canonical bytes whether the engine resolved the
+/// reference oracle or the adaptive scheduler, repeated runs reproduce
+/// exactly, and [`run_multipath`] is the same run.
+fn assert_multipath_bit_identical(cell: &Cell, label: &str) {
+    let RunScheme::Multipath(scheme) = cell.scheme else {
+        panic!("{label}: not a multipath cell");
+    };
     let adaptive = cell.execute_with(false).to_bytes();
     let reference = cell.execute_with(true).to_bytes();
     assert!(
         adaptive == reference,
-        "{label}: bonded cell diverged between the adaptive scheduler \
+        "{label}: multipath cell diverged between the adaptive scheduler \
          and the reference oracle ({} vs {} canonical bytes)",
         adaptive.len(),
         reference.len()
     );
-    let again = cell.execute_with(false).to_bytes();
+    let again = run_multipath(&cell.config, scheme, cell.fault.leg_scripts()).to_bytes();
     assert!(
         adaptive == again,
-        "{label}: bonded cell is not reproducible byte-for-byte"
+        "{label}: multipath cell is not reproducible byte-for-byte"
     );
+}
+
+/// Bonded N=2 and 4-leg striping with RTX repair and RS FEC both on.
+fn assert_bonded_bit_identical(n_legs: usize, seed: u64, label: &str) {
+    let cells = MatrixSpec::new(bonded_config(n_legs, seed))
+        .multipath_schemes([MultipathScheme::Bonded])
+        .expand();
+    assert_eq!(cells.len(), 1, "{label}: expected a single expanded cell");
+    assert_multipath_bit_identical(&cells[0], label);
 }
 
 #[test]
@@ -157,22 +164,11 @@ fn bonded_four_leg_repair_fec_is_bit_identical() {
 
 #[test]
 fn failover_scheme_stays_deterministic_under_script() {
-    // The multipath driver is unchanged by the adaptive scheduler (it
-    // keeps the fixed tick); this cell pins that the scripted failover
-    // path still reproduces byte-for-byte, so the matrix the perf
-    // harness sweeps is deterministic end to end.
     let cfg = config(CcMode::Gcc, Environment::Urban, Mobility::Air, 0xE0_0004);
-    let run = || {
-        run_multipath_scripted(
-            &cfg,
-            MultipathScheme::Failover,
-            Some(hostile_script()),
-            None,
-        )
-        .to_bytes()
-    };
-    assert!(
-        run() == run(),
-        "scripted failover run is not reproducible byte-for-byte"
-    );
+    let cells = MatrixSpec::new(cfg)
+        .multipath_schemes([MultipathScheme::Failover])
+        .faults([CellFault::legs("hostile", Some(hostile_script()), None)])
+        .expand();
+    assert_eq!(cells.len(), 1);
+    assert_multipath_bit_identical(&cells[0], "failover/hostile");
 }
