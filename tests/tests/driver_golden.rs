@@ -18,7 +18,7 @@
 
 use rpav_core::codec::fnv1a;
 use rpav_core::prelude::*;
-use rpav_netem::FaultScript;
+use rpav_netem::{FaultScript, PacketKind};
 use rpav_sim::{SimDuration, SimTime};
 
 /// Blackout + loss burst: feedback starvation, watchdog backoff, PLI
@@ -47,6 +47,22 @@ fn corrupt_script() -> FaultScript {
         0.05,
         None,
     )
+}
+
+/// The correlated shared-cell fade of the `flight-bonded` workload: one
+/// Gilbert–Elliott media-loss burst window over the first 30 s on legs 0
+/// and 1 of a three-leg rig.
+fn shared_fade() -> Vec<Option<FaultScript>> {
+    FaultScript::new()
+        .burst_loss_window(
+            SimTime::ZERO,
+            SimDuration::from_secs(30),
+            0.05,
+            0.3,
+            0.5,
+            Some(PacketKind::Media),
+        )
+        .correlated(3, &[0, 1])
 }
 
 fn builder(cc: CcMode, env: Environment, mobility: Mobility, seed: u64) -> ExperimentConfigBuilder {
@@ -125,6 +141,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("bonded/n4/coupled-gcc/fec+repair", 0xf0bb2ed624230850),
     ("failover/leg-cap", 0x4c41b2aa74b1864e),
     ("bonded/n2/corrupt", 0x0572b54ab5126a2d),
+    ("bonded/n3/corr-fade/static", 0x79c26a137aacb913),
+    ("bonded/n3/corr-fade/scream", 0x4a335faaf508c3d8),
+    ("bonded/n3/corr-fade/gcc", 0x6df4745b08dc8eb7),
 ];
 
 #[test]
@@ -248,6 +267,40 @@ fn capped_failover_and_corrupt_bonded_match_golden() {
         cases
             .into_iter()
             .map(|(l, c)| (l, c, expected(l)))
+            .collect(),
+    );
+}
+
+/// The `flight-bonded` benchmark round: rural air, three legs, coupled
+/// CC, RS FEC capped at 25 % and repair on, under the correlated fade, at
+/// the repository's campaign master seed — one cell per paper workload.
+#[test]
+fn flight_bonded_fade_cells_match_golden() {
+    let base = ExperimentConfig::builder()
+        .environment(Environment::Rural)
+        .mobility(Mobility::Air)
+        .seed(0x1AC_2022)
+        .hold_secs(1)
+        .n_legs(3)
+        .fec_cap(0.25)
+        .repair(true)
+        .coupled_cc(true)
+        .build();
+    let cells = MatrixSpec::new(base)
+        .paper_workloads()
+        .multipath_schemes([MultipathScheme::Bonded])
+        .faults([CellFault::per_leg("corr-2leg-fade", shared_fade())])
+        .expand();
+    assert_eq!(cells.len(), 3);
+    let labels: Vec<String> = cells
+        .iter()
+        .map(|c| format!("bonded/n3/corr-fade/{}", c.config.cc.name().to_lowercase()))
+        .collect();
+    check(
+        labels
+            .iter()
+            .zip(cells)
+            .map(|(l, c)| (l.as_str(), c, expected(l)))
             .collect(),
     );
 }
