@@ -27,10 +27,10 @@
 //!
 //! `RPAV_NLEG_SMOKE=1` shrinks the sweep to one run per cell for CI.
 
-use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
+use rpav_bench::{banner, matrix_config, runs_per_config, shared_fade, smoke};
 use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
-use rpav_netem::{FaultScript, PacketKind};
+use rpav_netem::FaultScript;
 use rpav_rtp::fec::{rs_recover, FecGroup, RsGroup, RsParityPacket, MAX_RS_PARITY};
 use rpav_rtp::RtpPacket;
 use rpav_sim::{SimDuration, SimTime};
@@ -52,21 +52,6 @@ const CAP_DEGRADE: f64 = 1.0e6;
 /// section: dark from t=0 until far past any flight plan's end.
 fn leg_killer() -> FaultScript {
     FaultScript::new().blackout(SimTime::ZERO, SimDuration::from_secs(3_600))
-}
-
-/// The correlated shared-cell fade: one Gilbert–Elliott burst window,
-/// same wall-clock span on every affected leg (each leg still draws
-/// its own packet-level outcomes — two modems camping on one congested
-/// cell, not one wire feeding both).
-fn shared_fade() -> FaultScript {
-    FaultScript::new().burst_loss_window(
-        SimTime::ZERO,
-        SimDuration::from_secs(30),
-        0.05,
-        0.3,
-        0.5,
-        Some(PacketKind::Media),
-    )
 }
 
 fn config(cc: CcMode, run: u64) -> ExperimentConfigBuilder {

@@ -8,6 +8,8 @@
 
 use rpav_core::prelude::*;
 use rpav_core::stats::{self, BoxSummary};
+use rpav_netem::{FaultScript, PacketKind};
+use rpav_sim::{SimDuration, SimTime};
 
 /// Number of runs per configuration (env `RPAV_RUNS`, default 3).
 pub fn runs_per_config() -> u64 {
@@ -48,6 +50,21 @@ pub fn matrix_config(cc: CcMode, run: u64, hold_secs: u64) -> ExperimentConfigBu
         .seed(master_seed())
         .run_index(run)
         .hold_secs(hold_secs)
+}
+
+/// The correlated shared-cell fade: one Gilbert–Elliott burst window,
+/// same wall-clock span on every affected leg (each leg still draws
+/// its own packet-level outcomes — two modems camping on one congested
+/// cell, not one wire feeding both).
+pub fn shared_fade() -> FaultScript {
+    FaultScript::new().burst_loss_window(
+        SimTime::ZERO,
+        SimDuration::from_secs(30),
+        0.05,
+        0.3,
+        0.5,
+        Some(PacketKind::Media),
+    )
 }
 
 /// The paper-default campaign as a wire-ready [`CampaignSpec`]

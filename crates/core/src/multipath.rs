@@ -573,10 +573,10 @@ pub(crate) struct MultipathFlight {
     /// CC feedback rides the leg of the most recent accepted media arrival.
     last_media_leg: usize,
     /// Bonded reassembly: a bounded window of recent media packets (fuel
-    /// for FEC recovery), pending parity packets with their playout
-    /// deadline, and the unwrapped-highest sequence for reorder accounting.
+    /// for FEC recovery), pending parity shards in arrival order, and the
+    /// unwrapped-highest sequence for reorder accounting.
     media_window: VecDeque<RtpPacket>,
-    rs_pending: VecDeque<(SimTime, RsParityPacket)>,
+    rs_pending: VecDeque<PendingShard>,
     highest_useq: Option<u64>,
     // Loss-repair plumbing, present only when `base.repair` is set.
     nack_gen: Option<NackGenerator>,
@@ -985,7 +985,7 @@ impl MultipathFlight {
                     // Parity stream: queued against the playout deadline,
                     // never enters the media pipeline itself.
                     match RsParityPacket::parse_payload(rtp.payload.clone()) {
-                        Ok(fp) => self.rs_pending.push_back((t + FEC_RECOVERY_DEADLINE, fp)),
+                        Ok(fp) => queue_parity(&mut self.rs_pending, t, fp),
                         Err(_) => self.core.metrics.malformed_packets += 1,
                     }
                     continue;
@@ -1012,7 +1012,7 @@ impl MultipathFlight {
                             }
                         }
                     }
-                    remember(&mut self.media_window, &rtp);
+                    remember(&mut self.media_window, &mut self.rs_pending, &rtp);
                 }
                 self.core.deliver(t, if self.coupled { li } else { 0 }, rtp);
             }
@@ -1025,32 +1025,43 @@ impl MultipathFlight {
     /// before the NACK/RTX path ever spends a round trip on the holes.
     /// Cascades to fixpoint (a recovered packet can complete another
     /// group); deadline-expired parity is dropped first.
+    ///
+    /// A solve is retried only when its inputs changed since it last
+    /// failed ([`PendingShard::retry`]); every other solve would fail
+    /// again, so skipping it leaves the deque, the window and the order of
+    /// the successful solves exactly as re-solving every shard would.
     fn recover_fec(&mut self, t: SimTime) {
         if self.scheme != MultipathScheme::Bonded || self.rs_pending.is_empty() {
             return;
         }
         let metrics = &mut self.core.metrics;
-        self.rs_pending.retain(|(deadline, _)| *deadline >= t);
+        // Deadlines grow along the deque (each is its arrival tick plus the
+        // same budget), so expiry drops a prefix: a surviving shard's
+        // later group-mates all survive, and no retained solve changes.
+        self.rs_pending.retain(|e| e.deadline >= t);
         loop {
             let mut recovered_any = false;
             let mut i = 0;
             while i < self.rs_pending.len() {
+                if !self.rs_pending[i].retry {
+                    // Same shards, same window members as the last failed
+                    // solve: it would fail again.
+                    i += 1;
+                    continue;
+                }
                 // Gather every shard of the group anchored at `i` (later
                 // arrivals of the same group sit further down the deque)
                 // into a fixed scratch array.
                 let mut remove_idx = [0usize; MAX_RS_PARITY];
+                let group = group_of(&self.rs_pending[i].shard);
                 let (recs, remove_cnt) = {
-                    let first = &self.rs_pending[i].1;
+                    let first = &self.rs_pending[i].shard;
                     let mut refs: [&RsParityPacket; MAX_RS_PARITY] = [first; MAX_RS_PARITY];
                     remove_idx[0] = i;
                     let mut cnt = 1usize;
-                    for (j, (_, p)) in self.rs_pending.iter().enumerate().skip(i + 1) {
-                        if cnt < MAX_RS_PARITY
-                            && p.sn_base == first.sn_base
-                            && p.count == first.count
-                            && p.parity_count == first.parity_count
-                        {
-                            refs[cnt] = p;
+                    for (j, e) in self.rs_pending.iter().enumerate().skip(i + 1) {
+                        if cnt < MAX_RS_PARITY && group_of(&e.shard) == group {
+                            refs[cnt] = &e.shard;
                             remove_idx[cnt] = j;
                             cnt += 1;
                         }
@@ -1062,12 +1073,20 @@ impl MultipathFlight {
                 };
                 let Some(recs) = recs else {
                     // Still short of survivors (or damaged shards): leave
-                    // the group pending for the next arrivals.
+                    // the group pending until its inputs change.
+                    self.rs_pending[i].retry = false;
                     i += 1;
                     continue;
                 };
                 for k in (0..remove_cnt).rev() {
                     self.rs_pending.remove(remove_idx[k]);
+                }
+                // Group-mates still pending pooled some of the removed
+                // shards into their own solves: those inputs changed.
+                for e in self.rs_pending.iter_mut() {
+                    if group_of(&e.shard) == group {
+                        e.retry = true;
+                    }
                 }
                 if recs.is_empty() {
                     // Nothing was missing; the group retires unused.
@@ -1094,7 +1113,7 @@ impl MultipathFlight {
                         // this sequence.
                         ng.on_packet(t, rec.sequence);
                     }
-                    remember(&mut self.media_window, &rec);
+                    remember(&mut self.media_window, &mut self.rs_pending, &rec);
                     self.core.rx.jitter.push(t, rec);
                 }
             }
@@ -1190,11 +1209,60 @@ fn identity(rtp: &RtpPacket) -> u64 {
     u64::from(rtp.sequence) | (u64::from(rtp.timestamp) << 16)
 }
 
-/// Append a media packet to the bounded reassembly window.
-fn remember(window: &mut VecDeque<RtpPacket>, rtp: &RtpPacket) {
+/// A received parity shard waiting for its group to become solvable.
+struct PendingShard {
+    /// Playout deadline: a member recovered later would be dropped as
+    /// late anyway.
+    deadline: SimTime,
+    shard: RsParityPacket,
+    /// The inputs of the solve anchored at this shard changed since it
+    /// last failed (or it was never tried). Those inputs are the shard's
+    /// later group-mates in the deque and the window members its group
+    /// covers, so the flag is raised when a group-mate arrives or leaves,
+    /// and when a covered sequence enters or leaves the window.
+    retry: bool,
+}
+
+/// The group a parity shard belongs to: shards with equal keys are
+/// pooled into one solve by [`MultipathFlight::recover_fec`].
+fn group_of(p: &RsParityPacket) -> (u16, u8, u8) {
+    (p.sn_base, p.count, p.parity_count)
+}
+
+/// Queue an arriving parity shard against the playout deadline. Its
+/// pending group-mates can now pool one more shard.
+fn queue_parity(pending: &mut VecDeque<PendingShard>, t: SimTime, shard: RsParityPacket) {
+    let group = group_of(&shard);
+    for e in pending.iter_mut() {
+        if group_of(&e.shard) == group {
+            e.retry = true;
+        }
+    }
+    pending.push_back(PendingShard {
+        deadline: t + FEC_RECOVERY_DEADLINE,
+        shard,
+        retry: true,
+    });
+}
+
+/// Append a media packet to the bounded reassembly window. Pending
+/// shards whose group covers the packet, or the one the cap evicts, see
+/// a changed window.
+fn remember(
+    window: &mut VecDeque<RtpPacket>,
+    pending: &mut VecDeque<PendingShard>,
+    rtp: &RtpPacket,
+) {
     window.push_back(rtp.clone());
-    if window.len() > MEDIA_WINDOW_CAP {
-        window.pop_front();
+    let evicted = if window.len() > MEDIA_WINDOW_CAP {
+        window.pop_front().map(|p| p.sequence)
+    } else {
+        None
+    };
+    for e in pending.iter_mut() {
+        if e.shard.covers(rtp.sequence) || evicted.is_some_and(|seq| e.shard.covers(seq)) {
+            e.retry = true;
+        }
     }
 }
 
@@ -1601,5 +1669,126 @@ mod tests {
             "no multi-loss group repaired ({} single repairs)",
             m.fec_recovered
         );
+    }
+
+    // ---- FEC retry triggers ------------------------------------------
+
+    /// A bonded receiver driven by hand: `k` media members from sequence
+    /// 500 and the `r` RS shards protecting them. Media and parity go
+    /// straight into the reassembly state; each tick is one
+    /// `recover_fec`.
+    fn fec_rig(k: u16, r: usize) -> (MultipathFlight, Vec<RtpPacket>, Vec<RsParityPacket>) {
+        let f = MultipathFlight::new(&base(), MultipathScheme::Bonded, Vec::new());
+        let members: Vec<RtpPacket> = (0..k)
+            .map(|i| RtpPacket {
+                marker: i + 1 == k,
+                payload_type: 96,
+                sequence: 500 + i,
+                timestamp: 9_000,
+                ssrc: MEDIA_SSRC,
+                transport_seq: None,
+                payload: Bytes::from(vec![i as u8; 300 + usize::from(i)]),
+                wire: None,
+            })
+            .collect();
+        let mut g = RsGroup::new();
+        for p in &members {
+            assert!(g.push(p, r));
+        }
+        (f, members, g.build())
+    }
+
+    /// A media member reaching the reassembly window.
+    fn arrive(f: &mut MultipathFlight, p: &RtpPacket) {
+        f.seen.insert(identity(p));
+        remember(&mut f.media_window, &mut f.rs_pending, p);
+    }
+
+    /// Run the recovery ticks `from..to` (ms), asserting none recovers.
+    fn quiet_ticks(f: &mut MultipathFlight, from: u64, to: u64) {
+        for ms in from..to {
+            f.recover_fec(SimTime::from_millis(ms));
+            assert_eq!(
+                f.core.metrics.fec_recovered, 0,
+                "recovered early, at {ms} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn fec_retries_when_a_straggler_member_arrives() {
+        // Four members, one shard; member 3 is lost and member 2 lags
+        // 30 ms behind the parity: two erasures against one shard until
+        // the straggler lands, then one.
+        let (mut f, members, shards) = fec_rig(4, 1);
+        arrive(&mut f, &members[0]);
+        arrive(&mut f, &members[1]);
+        queue_parity(
+            &mut f.rs_pending,
+            SimTime::from_millis(1),
+            shards[0].clone(),
+        );
+        quiet_ticks(&mut f, 1, 31);
+        arrive(&mut f, &members[2]);
+        f.recover_fec(SimTime::from_millis(31));
+        assert_eq!(f.core.metrics.fec_recovered, 1);
+        assert!(f.seen.contains(&identity(&members[3])));
+        assert!(f.rs_pending.is_empty(), "a solved group retires");
+    }
+
+    #[test]
+    fn fec_retries_when_a_second_shard_arrives() {
+        // Members 2 and 3 are lost: the first shard alone cannot rebuild
+        // two; the second, 20 ms later, completes the system.
+        let (mut f, members, shards) = fec_rig(4, 2);
+        arrive(&mut f, &members[0]);
+        arrive(&mut f, &members[1]);
+        queue_parity(
+            &mut f.rs_pending,
+            SimTime::from_millis(1),
+            shards[0].clone(),
+        );
+        quiet_ticks(&mut f, 1, 21);
+        queue_parity(
+            &mut f.rs_pending,
+            SimTime::from_millis(21),
+            shards[1].clone(),
+        );
+        f.recover_fec(SimTime::from_millis(21));
+        assert_eq!(f.core.metrics.fec_recovered, 2);
+        assert_eq!(f.core.metrics.fec_multi_recovered, 2);
+        assert!(f.rs_pending.is_empty(), "both shards retire with the group");
+    }
+
+    #[test]
+    fn fec_retries_after_the_group_anchor_expires() {
+        // Six members, three shards, of which two arrive: 1 ms (the
+        // group's anchor) and 40 ms. Three members are lost, one more
+        // than the two shards can rebuild. The anchor expires at its
+        // 150 ms deadline; the later shard stays pending, and when two
+        // stragglers land after that, it alone rebuilds the last hole.
+        let (mut f, members, shards) = fec_rig(6, 3);
+        for p in &members[..3] {
+            arrive(&mut f, p);
+        }
+        queue_parity(
+            &mut f.rs_pending,
+            SimTime::from_millis(1),
+            shards[0].clone(),
+        );
+        quiet_ticks(&mut f, 1, 40);
+        queue_parity(
+            &mut f.rs_pending,
+            SimTime::from_millis(40),
+            shards[1].clone(),
+        );
+        quiet_ticks(&mut f, 40, 170);
+        assert_eq!(f.rs_pending.len(), 1, "the anchor expired at 151 ms");
+        assert_eq!(f.rs_pending[0].shard.index, 1);
+        arrive(&mut f, &members[3]);
+        arrive(&mut f, &members[4]);
+        f.recover_fec(SimTime::from_millis(170));
+        assert_eq!(f.core.metrics.fec_recovered, 1);
+        assert!(f.seen.contains(&identity(&members[5])));
     }
 }

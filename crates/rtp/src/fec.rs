@@ -609,11 +609,17 @@ fn gf_invert(
 /// received and the surviving members.
 ///
 /// `parities` are shards of the *same* group (mismatched or duplicate
-/// shards are ignored); `survivors` is iterated twice, so any cheap
-/// clonable iterator over the receive window works — no collection
+/// shards are ignored); `survivors` is iterated up to three times, so any
+/// cheap clonable iterator over the receive window works — no collection
 /// required. Returns the recovered packets (empty when nothing is
 /// missing), or `None` when more members are missing than parity shards
 /// are available, or the shards are damaged.
+///
+/// Every refusal is allocation-free (the erasure and row sets live in
+/// fixed arrays), and a recovery allocates only what it returns: each
+/// missing shard is a fixed GF(256) combination of the chosen parity rows
+/// and the survivors, so it is written straight into its own payload
+/// buffer.
 pub fn rs_recover<'a, I>(
     parities: &[&RsParityPacket],
     survivors: I,
@@ -640,13 +646,25 @@ where
             ssrc = p.ssrc;
         }
     }
-    let missing: Vec<usize> = (0..n).filter(|&off| !have[off]).collect();
-    if missing.is_empty() {
+    // The erased offsets, in order. More erasures than any group can
+    // carry parity for can never be solved.
+    let mut missing = [0usize; MAX_RS_PARITY];
+    let mut m = 0;
+    for off in (0..n).filter(|&off| !have[off]) {
+        if m == MAX_RS_PARITY {
+            return None;
+        }
+        missing[m] = off;
+        m += 1;
+    }
+    if m == 0 {
         return Some(Vec::new());
     }
+    let missing = &missing[..m];
 
     // Deduplicate usable parity shards by index, keeping only ones that
-    // agree with the first shard's group geometry.
+    // agree with the first shard's group geometry; the lowest `m` indices
+    // become the rows of the system.
     let mut chosen: [Option<&RsParityPacket>; MAX_RS_PARITY] = [None; MAX_RS_PARITY];
     for p in parities {
         let idx = usize::from(p.index);
@@ -660,35 +678,21 @@ where
             chosen[idx] = Some(p);
         }
     }
-    let rows: Vec<&RsParityPacket> = chosen
-        .iter()
-        .flatten()
-        .copied()
-        .take(missing.len())
-        .collect();
-    if rows.len() < missing.len() {
+    let mut rows = [*first; MAX_RS_PARITY];
+    let mut r = 0;
+    for &p in chosen.iter().flatten().take(m) {
+        rows[r] = p;
+        r += 1;
+    }
+    if r < m {
         return None;
     }
-    let m = missing.len();
+    let rows = &rows[..m];
 
-    // RHS_t = parity_t ⊕ Σ_{survivor i} c(j_t, i) · shard_i.
-    let mut rhs: Vec<Vec<u8>> = rows.iter().map(|p| p.shard.to_vec()).collect();
-    for p in survivors {
-        let off = usize::from(p.sequence.wrapping_sub(first.sn_base));
-        if off >= n || !have[off] {
-            continue;
-        }
-        have[off] = false; // consume each survivor offset exactly once
-        let header = rs_member_header(p);
-        for (t, row) in rows.iter().enumerate() {
-            let c = rs_coeff(usize::from(row.index), off);
-            for (dst, src) in rhs[t].iter_mut().zip(header.iter().chain(p.payload.iter())) {
-                *dst ^= gf_mul(c, *src);
-            }
-        }
-    }
-
-    // Solve A·x = RHS for the missing shards.
+    // parity_t = Σ_{survivor i} c(j_t, i)·shard_i ⊕ Σ_s c(j_t, miss_s)·x_s,
+    // so with A = [c(j_t, miss_s)] the missing shards are
+    // x_s = Σ_t A⁻¹[s][t]·parity_t ⊕ Σ_i w[s][i]·shard_i,
+    // w[s][i] = Σ_t A⁻¹[s][t]·c(j_t, i).
     let mut a = [[0u8; MAX_RS_PARITY]; MAX_RS_PARITY];
     for (t, row) in rows.iter().enumerate() {
         for (s, &off) in missing.iter().enumerate() {
@@ -696,45 +700,80 @@ where
         }
     }
     let inv = gf_invert(a, m)?;
+    let mut w = [[0u8; MAX_FEC_GROUP as usize]; MAX_RS_PARITY];
+    for (s, ws) in w.iter_mut().enumerate().take(m) {
+        for (off, wi) in ws.iter_mut().enumerate().take(n) {
+            for (t, row) in rows.iter().enumerate() {
+                *wi ^= gf_mul(inv[s][t], rs_coeff(usize::from(row.index), off));
+            }
+        }
+    }
+    // Accumulate missing shard `s` into `dst`: its member header (bytes
+    // 0..8) when `header`, else the start of its payload (bytes 8..). The
+    // parity rows' part first, then each surviving member's (first copy
+    // of each offset; members shorter than the shard are zero-padded).
+    let combine = |s: usize, dst: &mut [u8], header: bool| {
+        let lo = if header { 0 } else { RS_MEMBER_HEADER };
+        for (t, row) in rows.iter().enumerate() {
+            gf_mul_xor(dst, inv[s][t], &row.shard[lo..]);
+        }
+        let mut fresh = have;
+        for p in survivors.clone() {
+            let off = usize::from(p.sequence.wrapping_sub(first.sn_base));
+            if off < n && fresh[off] {
+                fresh[off] = false;
+                if header {
+                    gf_mul_xor(dst, w[s][off], &rs_member_header(p));
+                } else {
+                    gf_mul_xor(dst, w[s][off], &p.payload);
+                }
+            }
+        }
+    };
+
+    // Decode every member header first; a damaged one refuses the whole
+    // group before anything is allocated.
+    let mut headers = [[0u8; RS_MEMBER_HEADER]; MAX_RS_PARITY];
+    let mut lens = [0usize; MAX_RS_PARITY];
+    for (s, header) in headers.iter_mut().enumerate().take(m) {
+        combine(s, header, true);
+        if header[1] > 1 {
+            return None; // marker byte out of range
+        }
+        lens[s] = usize::from(u16::from_be_bytes([header[6], header[7]]));
+        if RS_MEMBER_HEADER + lens[s] > shard_len {
+            return None;
+        }
+    }
 
     let mut out = Vec::with_capacity(m);
     for (s, &off) in missing.iter().enumerate() {
-        let mut shard = vec![0u8; shard_len];
-        for (t, rhs_t) in rhs.iter().enumerate() {
-            let c = inv[s][t];
-            if c == 0 {
-                continue;
-            }
-            for (dst, src) in shard.iter_mut().zip(rhs_t.iter()) {
-                *dst ^= gf_mul(c, *src);
-            }
-        }
-        // Decode the member header; reject damaged shards.
-        let payload_type = shard[0];
-        let marker = match shard[1] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let timestamp = u32::from_be_bytes([shard[2], shard[3], shard[4], shard[5]]);
-        let len = usize::from(u16::from_be_bytes([shard[6], shard[7]]));
-        if RS_MEMBER_HEADER + len > shard_len {
-            return None;
-        }
-        shard.drain(..RS_MEMBER_HEADER);
-        shard.truncate(len);
+        let header = &headers[s];
+        let mut payload = vec![0u8; lens[s]];
+        combine(s, &mut payload, false);
         out.push(RtpPacket {
-            marker,
-            payload_type,
+            marker: header[1] == 1,
+            payload_type: header[0],
             sequence: first.sn_base.wrapping_add(off as u16),
-            timestamp,
+            timestamp: u32::from_be_bytes([header[2], header[3], header[4], header[5]]),
             ssrc,
             transport_seq: None,
-            payload: Bytes::from(shard),
+            payload: Bytes::from(payload),
             wire: None,
         });
     }
     Some(out)
+}
+
+/// `dst[i] ^= c · src[i]` over GF(256), for as many bytes as both hold.
+#[inline]
+fn gf_mul_xor(dst: &mut [u8], c: u8, src: &[u8]) {
+    if c == 0 {
+        return;
+    }
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d ^= gf_mul(c, x);
+    }
 }
 
 #[cfg(test)]
@@ -1130,5 +1169,206 @@ mod tests {
         let refs: Vec<&RsParityPacket> = second.iter().collect();
         let rec = rs_recover(&refs, survivors.iter().copied(), 0).expect("recycled group works");
         assert_eq!(rec[0], packets[0]);
+    }
+
+    /// The former solve, kept as the reference model of
+    /// [`rs_recover`]: it copies every chosen parity row into a scratch
+    /// right-hand side, folds the survivors into it, then applies the
+    /// inverse — allocating the erasure list, the row list and the scratch
+    /// rows on every call, failed ones included.
+    fn rs_recover_reference<'a, I>(
+        parities: &[&RsParityPacket],
+        survivors: I,
+        ssrc_hint: u32,
+    ) -> Option<Vec<RtpPacket>>
+    where
+        I: Iterator<Item = &'a RtpPacket> + Clone,
+    {
+        let first = parities.first()?;
+        let n = usize::from(first.count);
+        let shard_len = first.shard.len();
+        if shard_len < RS_MEMBER_HEADER {
+            return None;
+        }
+
+        // Which member offsets survived? (first copy wins; foreign packets
+        // and duplicates in the iterator are ignored)
+        let mut have = [false; MAX_FEC_GROUP as usize];
+        let mut ssrc = ssrc_hint;
+        for p in survivors.clone() {
+            let off = usize::from(p.sequence.wrapping_sub(first.sn_base));
+            if off < n {
+                have[off] = true;
+                ssrc = p.ssrc;
+            }
+        }
+        let missing: Vec<usize> = (0..n).filter(|&off| !have[off]).collect();
+        if missing.is_empty() {
+            return Some(Vec::new());
+        }
+
+        // Deduplicate usable parity shards by index, keeping only ones that
+        // agree with the first shard's group geometry.
+        let mut chosen: [Option<&RsParityPacket>; MAX_RS_PARITY] = [None; MAX_RS_PARITY];
+        for p in parities {
+            let idx = usize::from(p.index);
+            if p.sn_base == first.sn_base
+                && p.count == first.count
+                && p.parity_count == first.parity_count
+                && p.shard.len() == shard_len
+                && idx < MAX_RS_PARITY
+                && chosen[idx].is_none()
+            {
+                chosen[idx] = Some(p);
+            }
+        }
+        let rows: Vec<&RsParityPacket> = chosen
+            .iter()
+            .flatten()
+            .copied()
+            .take(missing.len())
+            .collect();
+        if rows.len() < missing.len() {
+            return None;
+        }
+        let m = missing.len();
+
+        // RHS_t = parity_t ⊕ Σ_{survivor i} c(j_t, i) · shard_i.
+        let mut rhs: Vec<Vec<u8>> = rows.iter().map(|p| p.shard.to_vec()).collect();
+        for p in survivors {
+            let off = usize::from(p.sequence.wrapping_sub(first.sn_base));
+            if off >= n || !have[off] {
+                continue;
+            }
+            have[off] = false; // consume each survivor offset exactly once
+            let header = rs_member_header(p);
+            for (t, row) in rows.iter().enumerate() {
+                let c = rs_coeff(usize::from(row.index), off);
+                for (dst, src) in rhs[t].iter_mut().zip(header.iter().chain(p.payload.iter())) {
+                    *dst ^= gf_mul(c, *src);
+                }
+            }
+        }
+
+        // Solve A·x = RHS for the missing shards.
+        let mut a = [[0u8; MAX_RS_PARITY]; MAX_RS_PARITY];
+        for (t, row) in rows.iter().enumerate() {
+            for (s, &off) in missing.iter().enumerate() {
+                a[t][s] = rs_coeff(usize::from(row.index), off);
+            }
+        }
+        let inv = gf_invert(a, m)?;
+
+        let mut out = Vec::with_capacity(m);
+        for (s, &off) in missing.iter().enumerate() {
+            let mut shard = vec![0u8; shard_len];
+            for (t, rhs_t) in rhs.iter().enumerate() {
+                let c = inv[s][t];
+                if c == 0 {
+                    continue;
+                }
+                for (dst, src) in shard.iter_mut().zip(rhs_t.iter()) {
+                    *dst ^= gf_mul(c, *src);
+                }
+            }
+            // Decode the member header; reject damaged shards.
+            let payload_type = shard[0];
+            let marker = match shard[1] {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            let timestamp = u32::from_be_bytes([shard[2], shard[3], shard[4], shard[5]]);
+            let len = usize::from(u16::from_be_bytes([shard[6], shard[7]]));
+            if RS_MEMBER_HEADER + len > shard_len {
+                return None;
+            }
+            shard.drain(..RS_MEMBER_HEADER);
+            shard.truncate(len);
+            out.push(RtpPacket {
+                marker,
+                payload_type,
+                sequence: first.sn_base.wrapping_add(off as u16),
+                timestamp,
+                ssrc,
+                transport_seq: None,
+                payload: Bytes::from(shard),
+                wire: None,
+            });
+        }
+        Some(out)
+    }
+
+    /// [`rs_recover`] returns exactly what the reference solve returns —
+    /// recovered packets byte for byte, or the same refusal — over random
+    /// groups, erasure patterns within and beyond the parity on hand, lost
+    /// and duplicated parity shards, duplicate and foreign survivors,
+    /// damaged shards and shards of a mismatched geometry.
+    #[test]
+    fn rs_recover_matches_reference_solve() {
+        let mut rng = rpav_sim::SimRng::seed_from_u64(0x5EC0_7E57);
+        let mut recovered = 0usize;
+        let mut refused = 0usize;
+        for case in 0..3_000 {
+            let k = rng.uniform_u64(1, u64::from(MAX_FEC_GROUP) + 1) as usize;
+            let r = rng.uniform_u64(1, MAX_RS_PARITY as u64 + 1) as usize;
+            let base = rng.uniform_u64(0, 1 << 16) as u16;
+            let packets: Vec<RtpPacket> = (0..k)
+                .map(|i| {
+                    let len = rng.uniform_u64(0, 90) as usize;
+                    let body: Vec<u8> = (0..len).map(|_| rng.uniform_u64(0, 256) as u8).collect();
+                    let mut p = media(base.wrapping_add(i as u16), &body, rng.chance(0.3));
+                    p.ssrc = 0x1000 + i as u32;
+                    p
+                })
+                .collect();
+            let mut shards = rs_group_of(&packets, r);
+            // Damage: a flipped shard byte, or a shard cut short.
+            if rng.chance(0.15) {
+                let victim = rng.uniform_u64(0, r as u64) as usize;
+                let mut b = shards[victim].shard.to_vec();
+                let at = rng.uniform_u64(0, b.len() as u64) as usize;
+                b[at] ^= rng.uniform_u64(1, 256) as u8;
+                shards[victim].shard = Bytes::from(b);
+            }
+            if rng.chance(0.05) {
+                let victim = rng.uniform_u64(0, r as u64) as usize;
+                let cut = rng.uniform_u64(0, shards[victim].shard.len() as u64) as usize;
+                shards[victim].shard = shards[victim].shard.slice(..cut);
+            }
+            // Parity loss, duplication and reordering.
+            let mut parity_refs: Vec<&RsParityPacket> =
+                shards.iter().filter(|_| !rng.chance(0.25)).collect();
+            if !parity_refs.is_empty() && rng.chance(0.2) {
+                parity_refs.push(parity_refs[0]);
+            }
+            if parity_refs.len() > 1 && rng.chance(0.5) {
+                parity_refs.swap(0, 1);
+            }
+            // Survivors: random erasures, with duplicates and foreign
+            // packets mixed in.
+            let mut window: Vec<RtpPacket> = packets
+                .iter()
+                .filter(|_| !rng.chance(0.2))
+                .cloned()
+                .collect();
+            if rng.chance(0.3) {
+                window.push(media(base.wrapping_add(k as u16 + 3), b"foreign", false));
+            }
+            if !window.is_empty() && rng.chance(0.3) {
+                let mut dup = window[0].clone();
+                dup.payload = Bytes::from(vec![0xEE; 12]);
+                window.push(dup);
+            }
+            let got = rs_recover(&parity_refs, window.iter(), 0xC0DE);
+            let want = rs_recover_reference(&parity_refs, window.iter(), 0xC0DE);
+            assert_eq!(got, want, "case {case}: k={k} r={r}");
+            match got {
+                Some(v) if !v.is_empty() => recovered += 1,
+                None => refused += 1,
+                _ => {}
+            }
+        }
+        assert!(recovered > 500 && refused > 500, "{recovered} / {refused}");
     }
 }

@@ -127,14 +127,28 @@ impl RtxSender {
             self.history.push_back(Some(packet.clone()));
             self.live += 1;
         } else {
-            // Behind the ring start: re-anchor by padding the front.
+            // Behind the ring start: re-anchor the front at the packet,
+            // padding the gap to the old start with holes. Only what the
+            // capacity trim below would keep is pushed: when the packet
+            // plus its gap do not fit the free room, the packet and the
+            // oldest holes would be trimmed straight away, so just the
+            // `room` newest holes go on. A full ring takes no work at all
+            // here, however far behind the packet is.
             let behind = self.base_seq.wrapping_sub(packet.sequence) as usize;
-            for _ in 0..behind {
-                self.history.push_front(None);
+            let room = self.config.history - self.history.len();
+            if behind <= room {
+                for _ in 1..behind {
+                    self.history.push_front(None);
+                }
+                self.history.push_front(Some(packet.clone()));
+                self.base_seq = packet.sequence;
+                self.live += 1;
+            } else {
+                for _ in 0..room {
+                    self.history.push_front(None);
+                }
+                self.base_seq = self.base_seq.wrapping_sub(room as u16);
             }
-            self.base_seq = packet.sequence;
-            self.history[0] = Some(packet.clone());
-            self.live += 1;
         }
         while self.history.len() > self.config.history {
             if self.history.pop_front().flatten().is_some() {
@@ -187,7 +201,7 @@ impl RtxSender {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rpav_sim::SimDuration;
+    use rpav_sim::{SimDuration, SimRng};
 
     fn pkt(seq: u16, payload_len: usize) -> RtpPacket {
         RtpPacket {
@@ -287,5 +301,184 @@ mod tests {
             s.record(&pkt(1, 100));
         }
         assert_eq!(s.history_len(), 1);
+    }
+
+    /// The former push-then-trim `record`, kept as the reference model of
+    /// the ring: a packet behind the ring start pads the front with one
+    /// hole per sequence of lag, then the capacity trim pops whatever no
+    /// longer fits — O(lag) work per call.
+    fn record_push_then_trim(s: &mut RtxSender, packet: &RtpPacket) {
+        if s.config.history == 0 {
+            return;
+        }
+        if s.history.is_empty() {
+            s.base_seq = packet.sequence;
+        }
+        let offset = packet.sequence.wrapping_sub(s.base_seq) as usize;
+        if let Some(slot) = s.history.get_mut(offset) {
+            if slot.replace(packet.clone()).is_none() {
+                s.live += 1;
+            }
+        } else if offset <= usize::from(u16::MAX) / 2 {
+            while s.history.len() < offset {
+                s.history.push_back(None);
+            }
+            s.history.push_back(Some(packet.clone()));
+            s.live += 1;
+        } else {
+            let behind = s.base_seq.wrapping_sub(packet.sequence) as usize;
+            for _ in 0..behind {
+                s.history.push_front(None);
+            }
+            s.base_seq = packet.sequence;
+            s.history[0] = Some(packet.clone());
+            s.live += 1;
+        }
+        while s.history.len() > s.config.history {
+            if s.history.pop_front().flatten().is_some() {
+                s.live -= 1;
+            }
+            s.base_seq = s.base_seq.wrapping_add(1);
+        }
+    }
+
+    /// The sequences held in the ring, slot by slot.
+    fn ring(s: &RtxSender) -> Vec<Option<u16>> {
+        s.history
+            .iter()
+            .map(|slot| slot.as_ref().map(|p| p.sequence))
+            .collect()
+    }
+
+    fn assert_same_ring(fast: &RtxSender, model: &RtxSender, ctx: &str) {
+        assert_eq!(fast.base_seq, model.base_seq, "{ctx}: ring base");
+        assert_eq!(ring(fast), ring(model), "{ctx}: ring slots");
+        assert_eq!(fast.history_len(), model.history_len(), "{ctx}");
+        assert!(
+            fast.history.len() <= fast.config.history,
+            "{ctx}: over capacity"
+        );
+    }
+
+    /// Drive the reference model and `record` with one random out-of-order
+    /// stream and require the same observable state after every call: the
+    /// ring itself, `history_len`, the retransmissions a NACK yields and
+    /// the stats.
+    ///
+    /// The stream mostly advances a head sequence, sometimes skips ahead,
+    /// re-records recent sequences, and replays lagging ones up to
+    /// `max_lag` behind the head — the release order of the coupled
+    /// shadow engines, whose slowest queue can trail by thousands.
+    fn differential(history: usize, start: u16, records: usize, max_lag: u64, seed: u64) {
+        let config = RtxConfig {
+            history,
+            budget_cap_bytes: 4_000.0,
+            ..Default::default()
+        };
+        let mut model = RtxSender::new(config);
+        let mut fast = RtxSender::new(config);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut head = start;
+        let mut now = SimTime::ZERO;
+        let mut behind_hits = 0usize;
+        for i in 0..records {
+            let seq = match rng.uniform_u64(0, 10) {
+                0..=5 => {
+                    head = head.wrapping_add(1);
+                    head
+                }
+                6 => {
+                    head = head.wrapping_add(rng.uniform_u64(2, 12) as u16);
+                    head
+                }
+                7 => head.wrapping_sub(rng.uniform_u64(0, 8) as u16),
+                _ => head.wrapping_sub(rng.uniform_u64(1, max_lag + 1) as u16),
+            };
+            if !fast.history.is_empty()
+                && seq.wrapping_sub(fast.base_seq) as usize > usize::from(u16::MAX) / 2
+            {
+                behind_hits += 1;
+            }
+            let p = pkt(seq, 40 + (i % 7) * 30);
+            record_push_then_trim(&mut model, &p);
+            fast.record(&p);
+            assert_same_ring(&fast, &model, &format!("record {i}"));
+
+            if rng.chance(0.3) {
+                now += SimDuration::from_millis(rng.uniform_u64(1, 30));
+                model.refill(now, 4e6);
+                fast.refill(now, 4e6);
+                let lost: Vec<u16> = (0..rng.uniform_u64(1, 5))
+                    .map(|_| head.wrapping_sub(rng.uniform_u64(0, 2 * history as u64 + 8) as u16))
+                    .collect();
+                let a = model.on_nack(&nack(lost.clone()));
+                let b = fast.on_nack(&nack(lost));
+                let view = |out: &[RtpPacket]| -> Vec<(u16, Vec<u8>)> {
+                    out.iter()
+                        .map(|p| (p.sequence, p.payload.to_vec()))
+                        .collect()
+                };
+                assert_eq!(view(&b), view(&a), "record {i}: NACK answer");
+            }
+            assert_eq!(fast.stats(), model.stats(), "record {i}: stats");
+        }
+        assert!(
+            behind_hits > 0,
+            "the stream never fell behind the ring start"
+        );
+    }
+
+    #[test]
+    fn re_anchor_matches_push_then_trim_beyond_capacity() {
+        // Lags far beyond a small, full ring: every behind record is the
+        // O(1) path of the new `record`.
+        differential(64, 1_000, 20_000, 20_000, 0xD1FF_0001);
+    }
+
+    #[test]
+    fn re_anchor_matches_push_then_trim_before_the_ring_fills() {
+        // A large ring the stream never fills: behind records that fit the
+        // free room and ones that overflow it.
+        differential(2_048, 30_000, 1_200, 3_000, 0xD1FF_0002);
+    }
+
+    #[test]
+    fn re_anchor_matches_push_then_trim_across_the_wrap() {
+        // Start just below the u16 wrap so heads, lags and ring slots all
+        // straddle 65535 → 0.
+        differential(256, 65_000, 6_000, 5_000, 0xD1FF_0003);
+    }
+
+    #[test]
+    fn re_anchor_matches_push_then_trim_at_the_half_range() {
+        // Lags around 2¹⁵ exercise the behind/ahead boundary.
+        differential(128, 7, 4_000, 40_000, 0xD1FF_0004);
+    }
+
+    #[test]
+    fn re_anchor_matches_push_then_trim_at_the_room_boundary() {
+        // Six packets in a 16-slot ring leave room for ten: a packet
+        // exactly `room` behind still fits, one more sequence behind is
+        // trimmed away with its oldest hole.
+        let config = RtxConfig {
+            history: 16,
+            ..Default::default()
+        };
+        for behind in [1u16, 9, 10, 11, 12, 40] {
+            let mut model = RtxSender::new(config);
+            let mut fast = RtxSender::new(config);
+            for seq in 100..106 {
+                record_push_then_trim(&mut model, &pkt(seq, 50));
+                fast.record(&pkt(seq, 50));
+            }
+            let late = pkt(100 - behind, 50);
+            record_push_then_trim(&mut model, &late);
+            fast.record(&late);
+            assert_same_ring(&fast, &model, &format!("{behind} behind"));
+            let a = model.on_nack(&nack(vec![100 - behind, 100]));
+            let b = fast.on_nack(&nack(vec![100 - behind, 100]));
+            assert_eq!(a.len(), b.len(), "{behind} behind");
+            assert_eq!(fast.stats(), model.stats(), "{behind} behind");
+        }
     }
 }
